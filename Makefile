@@ -14,7 +14,7 @@ COVER_FLOOR ?= 75.0
 # FUZZTIME bounds each fuzz target's run in `make fuzz` (CI uses 10s).
 FUZZTIME ?= 10s
 
-.PHONY: all build test race bench bench-json bench-intra bench-compare bench-serve serve-smoke store-smoke fleet-smoke sample-smoke fmt vet lint cover fuzz examples ci
+.PHONY: all build test race bench bench-json bench-intra bench-compare bench-serve serve-smoke store-smoke fleet-smoke sample-smoke perfbench-digests fmt vet lint cover fuzz examples ci
 
 all: build test
 
@@ -101,6 +101,13 @@ fleet-smoke:
 sample-smoke:
 	SAMPLE_SMOKE=1 go test ./cmd/confluence-sim -run TestSampleSmoke -count=1 -v -timeout 15m
 
+# perfbench-digests mirrors the CI guard on simulated results: the
+# benchmark's own tests, then the sampled figure workload at seed 1, which
+# fails on any cell whose stats differ from perfbench/digests.json.
+perfbench-digests:
+	cd perfbench && go test ./...
+	bash perfbench/run.sh --workload figures-sampled --seed 1 --seconds 1 --trace 0
+
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needs to run on:"; echo "$$out"; exit 1; fi
@@ -135,4 +142,4 @@ examples:
 
 # `cover` runs the full `go test ./...` suite itself, so ci does not also
 # depend on the plain `test` target (race is the only second full pass).
-ci: fmt vet lint build cover examples race bench fuzz serve-smoke store-smoke fleet-smoke sample-smoke
+ci: fmt vet lint build cover examples race bench fuzz serve-smoke store-smoke fleet-smoke sample-smoke perfbench-digests

@@ -123,12 +123,11 @@ func (a *AirBTB) Lookup(now float64, bb, brPC isa.Addr) btb.Result {
 	}
 	for i := uint8(0); i < b.N; i++ {
 		if b.Entries[i].Offset == off {
-			e := b.Entries[i]
-			return btb.Result{Hit: true, Entry: btb.Entry{Kind: e.Kind, Target: e.Target}}
+			return btb.Result{Hit: true}
 		}
 	}
-	if e, ok := a.overflow.lookup(brPC); ok {
-		return btb.Result{Hit: true, Entry: btb.Entry{Kind: e.Kind, Target: e.Target}}
+	if _, ok := a.overflow.lookup(brPC); ok {
+		return btb.Result{Hit: true}
 	}
 	a.OverflowMissedSlots++
 	return btb.Result{}

@@ -21,10 +21,11 @@ type Entry struct {
 	FallN  uint8 // basic-block length in instructions
 }
 
-// Result is the outcome of a BTB probe.
+// Result is the outcome of a BTB probe: only what the timing model reads,
+// so the interface call returns it in registers. Tests inspect stored
+// entries through each design's exported state.
 type Result struct {
 	Hit    bool
-	Entry  Entry
 	Bubble float64 // fetch-bubble cycles exposed by this lookup (L2 access)
 }
 
@@ -107,13 +108,13 @@ func (c *Conventional) key(bb, brPC isa.Addr) uint64 {
 // Lookup implements Design.
 func (c *Conventional) Lookup(now float64, bb, brPC isa.Addr) Result {
 	k := c.key(bb, brPC)
-	if e, ok := c.main.Lookup(k); ok {
-		return Result{Hit: true, Entry: e}
+	if _, ok := c.main.Lookup(k); ok {
+		return Result{Hit: true}
 	}
 	if c.victim != nil {
 		if e, ok := c.victim.Take(k); ok {
 			c.insert(k, e) // promote
-			return Result{Hit: true, Entry: e}
+			return Result{Hit: true}
 		}
 	}
 	return Result{}
@@ -179,13 +180,13 @@ func (t *TwoLevel) Name() string { return t.name }
 // promotes the entry.
 func (t *TwoLevel) Lookup(now float64, bb, brPC isa.Addr) Result {
 	k := uint64(bb) >> 2
-	if e, ok := t.l1.Lookup(k); ok {
-		return Result{Hit: true, Entry: e}
+	if _, ok := t.l1.Lookup(k); ok {
+		return Result{Hit: true}
 	}
 	if e, ok := t.l2.Lookup(k); ok {
 		t.L2Hits++
 		t.promote(k, e)
-		return Result{Hit: true, Entry: e, Bubble: t.l2Bubble}
+		return Result{Hit: true, Bubble: t.l2Bubble}
 	}
 	t.L2Misses++
 	return Result{}

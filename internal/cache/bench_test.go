@@ -76,3 +76,23 @@ func BenchmarkInFlight_AddReadyRemove(b *testing.B) {
 		f.Remove(key)
 	}
 }
+
+// BenchmarkVictimPutTake measures the 64-entry BTB victim buffer under its
+// steady state: every operation misses-and-evicts or hits-and-removes.
+func BenchmarkVictimPutTake(b *testing.B) {
+	v := NewVictim[uint64](64)
+	keys := make([]uint64, 1024)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := range keys {
+		keys[i] = rng.Uint64N(256) << 2
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i&1023]
+		if i&1 == 0 {
+			v.Put(k, k)
+		} else {
+			v.Take(k)
+		}
+	}
+}

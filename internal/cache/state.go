@@ -1,6 +1,10 @@
 package cache
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Warm-up snapshot support: the raw-array state of each structure is
 // exported and restored verbatim — keys, use-stamps, per-set occupancy,
@@ -140,5 +144,20 @@ func (v *Victim[V]) RestoreState(st VictimState, vals []V) error {
 	v.vals = append(v.vals[:0], vals...)
 	v.stamp = append(v.stamp[:0], st.Stamp...)
 	v.clock = st.Clock
+	// Rebuild the key index and the recency chain (slots in stamp order).
+	v.idx.Clear()
+	order := make([]int32, len(v.keys))
+	for i := range order {
+		order[i] = int32(i)
+		v.idx.Put(v.keys[i], int32(i))
+	}
+	if v.idx.Len() != len(v.keys) {
+		return fmt.Errorf("cache: victim snapshot repeats a key")
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(v.stamp[a], v.stamp[b]) })
+	v.head, v.tail = -1, -1
+	for _, i := range order {
+		v.pushTail(i)
+	}
 	return nil
 }

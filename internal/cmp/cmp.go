@@ -32,6 +32,23 @@
 //     records) arrives one epoch late. Within an epoch the apply order is
 //     canonical, so the mode is still bit-deterministic across worker
 //     counts — just not bit-identical to K=1.
+//
+// # Core-major fast-forward
+//
+// Functional fast-forward (System.FastForward) is exact for any K and
+// needs no frozen snapshot at all: Core.FastStep reads no state another
+// core writes, so each core can step through a whole segment of the phase
+// on its own. Its two cross-core writes — the LLC warm of an L1-I miss,
+// and a SHIFT history record when more than one core records into that
+// history — go into a per-core frontend.SharedLog tagged with the ordinal
+// of the record that issued them, and at the segment's end the logs merge
+// in (ordinal, core, issue) order. That is the round-robin loop's own
+// order, so LLC and history contents, warm snapshots and every statistic
+// are bit-identical to stepping round-robin. A core's BTB, predictors and
+// L1-I then stay hot in the host's caches for a segment instead of
+// rotating with every other core at each basic block. The engine chooses
+// the loop from the wired designs: a PhantomBTB reads its shared group
+// store on every lookup, so systems with one keep the round-robin loop.
 package cmp
 
 import (
@@ -197,6 +214,16 @@ type engine struct {
 	ports  []*mem.BoundPort
 	recs   []*shift.Deferred
 	weaves []weaveDesign
+
+	// coreMajor selects the core-major fast-forward loop (sample.go):
+	// true unless a core's BTB reads cross-core shared state. logs holds
+	// each core's deferred shared writes, dry the segment ordinal at
+	// which a core's source ran dry (-1 while it has not), cur the merge
+	// cursors.
+	coreMajor bool
+	logs      []frontend.SharedLog
+	dry       []int
+	cur       []int
 }
 
 // newEngine builds the engine and, for K>1, rewires every core's shared
@@ -221,6 +248,7 @@ func newEngine(s *System) *engine {
 	}
 	e.active = make([]int, 0, len(s.Cores))
 	e.prog = make([]coreProg, len(s.Cores))
+	e.initCoreMajor()
 	if k > 1 {
 		e.ports = make([]*mem.BoundPort, len(s.Cores))
 		e.recs = make([]*shift.Deferred, len(s.Cores))
@@ -250,6 +278,9 @@ func (e *engine) phase(ctx context.Context, n uint64) error {
 	for i := range e.s.Cores {
 		e.prog[i].target = e.prog[i].instr + n
 		e.active = append(e.active, i)
+	}
+	if e.ff && e.coreMajor {
+		return e.phaseCoreMajor(ctx)
 	}
 	if e.k == 1 || e.ff {
 		return e.phaseExact(ctx)

@@ -141,9 +141,11 @@ func (sp Sampling) TotalInstr() uint64 {
 }
 
 // FastForward advances every core by approximately n instructions
-// through the functional fast-forward path. Shared-state writes apply
-// directly in canonical round-robin core order (the exact scheduler),
-// so fast-forward is bit-deterministic for any worker count and any K.
+// through the functional fast-forward path. Results are bit-identical to
+// stepping the cores round-robin, for any worker count and any K: the
+// engine steps core-major (see the package comment) unless a core's BTB
+// reads a shared store, and round-robin, with shared writes applied
+// directly in canonical order, when one does.
 func (s *System) FastForward(ctx context.Context, n uint64) error {
 	if s.eng == nil {
 		s.eng = newEngine(s)
@@ -182,6 +184,127 @@ func (e *engine) setFF(on bool) {
 				wd.SetDeferred(!on)
 			}
 		}
+	}
+}
+
+// initCoreMajor selects the fast-forward loop from the wired designs and
+// attaches each core's shared-write log (Step ignores it). It runs before
+// K>1 rewiring, so the recorders it compares are the histories
+// themselves.
+func (e *engine) initCoreMajor() {
+	cores := e.s.Cores
+	for _, c := range cores {
+		if _, shared := c.BTB().(weaveDesign); shared {
+			return
+		}
+	}
+	e.coreMajor = true
+	e.logs = make([]frontend.SharedLog, len(cores))
+	e.dry = make([]int, len(cores))
+	e.cur = make([]int, len(cores))
+	for i, c := range cores {
+		r := c.Recorder()
+		for j, o := range cores {
+			if j != i && r != nil && o.Recorder() == r {
+				e.logs[i].History = true
+			}
+		}
+		c.SetSharedLog(&e.logs[i])
+	}
+}
+
+// ffSegment is how many records each core fast-forwards before the logs
+// merge: long enough (about 80k instructions) that cores rarely switch,
+// short enough to bound log memory and keep ordinals in a uint32.
+const ffSegment = 1 << 14
+
+// phaseCoreMajor is the core-major fast-forward loop (see FastForward).
+// Per segment, every active core steps on its own, then the logs merge in
+// round-robin order. A core whose source runs dry fails the phase exactly
+// as the round-robin loop would: the first core to run dry there is the
+// one with the lowest dry ordinal, the lower core index on a tie, and only
+// the logged writes of the rounds before it are merged. The other cores
+// may have stepped further, in their private state and in a history only
+// they record; a failed phase ends the run either way.
+func (e *engine) phaseCoreMajor(ctx context.Context) error {
+	for len(e.active) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for _, c := range e.active {
+			e.ffCore(c)
+		}
+		first := -1
+		for _, c := range e.active {
+			if d := e.dry[c]; d >= 0 && (first < 0 || d < e.dry[first]) {
+				first = c
+			}
+		}
+		if first >= 0 {
+			e.mergeShared(uint32(e.dry[first]))
+			return e.dryErr(first)
+		}
+		e.mergeShared(ffSegment)
+		w := 0
+		for _, c := range e.active {
+			if e.prog[c].instr < e.prog[c].target {
+				e.active[w] = c
+				w++
+			}
+		}
+		e.active = e.active[:w]
+	}
+	return nil
+}
+
+// ffCore fast-forwards core c by up to ffSegment records, stopping at its
+// phase target or where its source runs dry (noted in e.dry).
+func (e *engine) ffCore(c int) {
+	q, pg, core, log := &e.q[c], &e.prog[c], e.s.Cores[c], &e.logs[c]
+	e.dry[c] = -1
+	for ord := uint32(0); ord < ffSegment && pg.instr < pg.target; ord++ {
+		if q.n == 0 {
+			if e.refill(c); q.n == 0 {
+				e.dry[c] = int(ord)
+				return
+			}
+		}
+		rec := &q.buf[q.head]
+		log.Ord = ord
+		core.FastStep(rec)
+		q.head++
+		q.n--
+		pg.instr += uint64(rec.N)
+		pg.recs++
+	}
+}
+
+// mergeShared applies the logged writes with ordinals below limit in
+// (ordinal, core, issue) order — the round-robin loop's order — and
+// empties every log.
+func (e *engine) mergeShared(limit uint32) {
+	cores, logs, cur := e.s.Cores, e.logs, e.cur
+	clear(cur)
+	for {
+		// The lowest (ordinal, core) head goes next: strict < keeps the
+		// lower core on an ordinal tie.
+		best, ord := -1, limit
+		for c := range logs {
+			if ops := logs[c].Ops; cur[c] < len(ops) && ops[cur[c]].Ord < ord {
+				best, ord = c, ops[cur[c]].Ord
+			}
+		}
+		if best < 0 {
+			break
+		}
+		ops, i := logs[best].Ops, cur[best]
+		for ; i < len(ops) && ops[i].Ord == ord; i++ {
+			cores[best].ApplyShared(&ops[i])
+		}
+		cur[best] = i
+	}
+	for c := range logs {
+		logs[c].Ops = logs[c].Ops[:0]
 	}
 }
 

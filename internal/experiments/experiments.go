@@ -155,26 +155,6 @@ func NewRunnerFor(sc Scale, ws []*synth.Workload) *Runner {
 	return &Runner{Scale: sc, Workloads: ws, cache: make(map[string]*cacheEntry)}
 }
 
-func optKey(opt core.Options) string {
-	// IntraWorkers is deliberately absent: worker count cannot change
-	// results (the determinism contract), so cells differing only in it
-	// share a memo slot. EpochBlocks changes results for K>1 and is part of
-	// the identity.
-	return fmt.Sprintf("c%d-air%d.%d.%d-sw%d-la%d-priv%v-k%d",
-		opt.Cores, opt.Air.Bundles, opt.Air.EntriesPerBundle, opt.Air.OverflowEntries,
-		opt.SweepBTBEntries, opt.Shift.Lookahead, opt.HistoryPerCore, max(opt.EpochBlocks, 1))
-}
-
-// samplingMemoKey suffixes the memo key of a sampled cell so it never
-// shares a slot with the exact run of the same configuration.
-func samplingMemoKey(sp core.Sampling) string {
-	if !sp.Enabled() {
-		return ""
-	}
-	return fmt.Sprintf("|sampled:w%d-p%d-n%d-wu%d",
-		sp.WindowInstr, sp.PeriodInstr, sp.Windows, sp.WindowWarmupInstr)
-}
-
 // MixName labels a workload mix: the single workload's name, or the slot
 // names joined with "+" (the order is the core assignment, so it is part of
 // the cell identity).
@@ -189,16 +169,13 @@ func MixName(mix []*synth.Workload) string {
 	return strings.Join(names, "+")
 }
 
-func cellKey(mix []*synth.Workload, dp core.DesignPoint, opt core.Options) string {
-	key := MixName(mix) + "|" + dp.String() + "|" + optKey(opt)
-	// A trace-replaying workload is a different cell than a live one with
-	// the same profile name.
-	for _, w := range mix {
-		if w.TraceDir != "" {
-			key += "|trace:" + w.TraceDir
-		}
-	}
-	return key
+// cellStoreKey is a cell's one identity at this runner's scale and sampling
+// plan: its durable store key (CellStoreKeySampled), which the memo, its
+// singleflight and plan deduplication all use too. ok is false for cells
+// the key cannot express — an Options.Sources override or an unreadable
+// capture directory — which are neither memoized nor stored.
+func (r *Runner) cellStoreKey(mix []*synth.Workload, dp core.DesignPoint, opt core.Options) (key string, ok bool) {
+	return CellStoreKeySampled(r.Scale.Warmup, r.Scale.Measure, mix, "", dp, opt, r.Sampling)
 }
 
 // SplitWorkers resolves a goroutine budget shared between grid-level and
@@ -227,12 +204,13 @@ func (r *Runner) Run(w *synth.Workload, dp core.DesignPoint, opt core.Options) (
 	return r.RunCtx(context.Background(), w, dp, opt)
 }
 
-// RunCtx simulates one cell, memoizing by cell key. Concurrent calls for
-// the same key simulate once and share the result (singleflight); a failed
-// or cancelled computation is evicted so later calls can retry. A waiter
-// whose own context is still live does not inherit a leader's cancellation
-// — it retries the (evicted) key, so cancelling one plan never fails a
-// concurrent plan sharing cells on the same runner.
+// RunCtx simulates one cell, memoizing by cell key (cells without one run
+// unmemoized). Concurrent calls for the same key simulate once and share
+// the result (singleflight); a failed or cancelled computation is evicted
+// so later calls can retry. A waiter whose own context is still live does
+// not inherit a leader's cancellation — it retries the (evicted) key, so
+// cancelling one plan never fails a concurrent plan sharing cells on the
+// same runner.
 func (r *Runner) RunCtx(ctx context.Context, w *synth.Workload, dp core.DesignPoint, opt core.Options) (*frontend.Stats, error) {
 	st, _, err := r.RunMixCtx(ctx, []*synth.Workload{w}, dp, opt)
 	return st, err
@@ -254,7 +232,10 @@ func (r *Runner) RunMixCtx(ctx context.Context, mix []*synth.Workload, dp core.D
 // entry). Exact runners get nil — there is nothing to report beyond the
 // stats.
 func (r *Runner) RunMixSampledCtx(ctx context.Context, mix []*synth.Workload, dp core.DesignPoint, opt core.Options) (*frontend.Stats, []*frontend.Stats, *SampledReport, error) {
-	key := cellKey(mix, dp, opt) + samplingMemoKey(r.Sampling)
+	key, ok := r.cellStoreKey(mix, dp, opt)
+	if !ok {
+		return r.simulate(ctx, "", mix, dp, opt)
+	}
 	for {
 		r.mu.Lock()
 		e, leader := r.cache[key]
@@ -262,7 +243,7 @@ func (r *Runner) RunMixSampledCtx(ctx context.Context, mix []*synth.Workload, dp
 			e = &cacheEntry{done: make(chan struct{})}
 			r.cache[key] = e
 			r.mu.Unlock()
-			e.stats, e.perCore, e.sampled, e.err = r.simulate(ctx, mix, dp, opt)
+			e.stats, e.perCore, e.sampled, e.err = r.simulate(ctx, key, mix, dp, opt)
 			if e.err != nil {
 				r.mu.Lock()
 				delete(r.cache, key)
@@ -307,31 +288,28 @@ func (e ProgressEvent) String() string {
 }
 
 // simulate runs one cell uncached by the memo, consulting the durable
-// store on either side when one is configured: a store hit returns the
-// persisted result (emitting the same progress event a live run would),
-// and a completed run is written back before its progress line is emitted
-// — so an observer that has seen a cell reported knows the cell is
-// durable. Cancellation reaches a started cell mid-run: the epoch engine
-// polls ctx at every epoch barrier.
-func (r *Runner) simulate(ctx context.Context, mix []*synth.Workload, dp core.DesignPoint, opt core.Options) (*frontend.Stats, []*frontend.Stats, *SampledReport, error) {
+// store under storeKey (the cell key; empty when it has none) on either
+// side when one is configured: a store hit returns the persisted result
+// (emitting the same progress event a live run would), and a completed run
+// is written back before its progress line is emitted — so an observer
+// that has seen a cell reported knows the cell is durable. Cancellation
+// reaches a started cell mid-run: the epoch engine polls ctx at every
+// epoch barrier.
+func (r *Runner) simulate(ctx context.Context, storeKey string, mix []*synth.Workload, dp core.DesignPoint, opt core.Options) (*frontend.Stats, []*frontend.Stats, *SampledReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
-	var storeKey string
-	haveKey := false
-	if r.Store != nil {
-		storeKey, haveKey = CellStoreKeySampled(r.Scale.Warmup, r.Scale.Measure, mix, "", dp, opt, r.Sampling)
-		if haveKey {
-			if payload, hit := r.Store.Get(storeKey); hit {
-				if e, ok := DecodeStoreEntry(payload); ok {
-					r.progress(func() ProgressEvent {
-						return ProgressEvent{
-							Mix: MixName(mix), Design: dp.String(),
-							IPC: e.Stats.IPC(), BTBMPKI: e.Stats.BTBMPKI(), L1IMPKI: e.Stats.L1IMPKI(),
-						}
-					})
-					return e.Stats, e.PerCore, e.Sampled, nil
-				}
+	haveKey := r.Store != nil && storeKey != ""
+	if haveKey {
+		if payload, hit := r.Store.Get(storeKey); hit {
+			if e, ok := DecodeStoreEntry(payload); ok {
+				r.progress(func() ProgressEvent {
+					return ProgressEvent{
+						Mix: MixName(mix), Design: dp.String(),
+						IPC: e.Stats.IPC(), BTBMPKI: e.Stats.BTBMPKI(), L1IMPKI: e.Stats.L1IMPKI(),
+					}
+				})
+				return e.Stats, e.PerCore, e.Sampled, nil
 			}
 		}
 	}

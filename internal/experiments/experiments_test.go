@@ -5,6 +5,7 @@ import (
 
 	"confluence/internal/core"
 	"confluence/internal/synth"
+	"confluence/internal/trace"
 )
 
 // tinyRunner builds a single-workload runner at a very small scale so the
@@ -76,6 +77,71 @@ func TestRunCaching(t *testing.T) {
 	}
 	if c1 == c2 {
 		t.Error("different sweep sizes collided in the cache")
+	}
+}
+
+// TestMemoKeyCoversEveryOption is the regression test for the memo's old
+// hand-written key, which dropped every FDP field and every SHIFT field but
+// Lookahead: a runner that had run PhantomFDP returned that result again
+// for PhantomFDP with FDP.QueueDepth=1 and Shift.HistoryEntries=1024. The
+// memo is keyed by the store key now, so the second cell must measure what
+// a fresh runner measures.
+func TestMemoKeyCoversEveryOption(t *testing.T) {
+	r := tinyRunner(t)
+	w := r.Workloads[0]
+	first, err := r.RunDefault(w, core.PhantomFDP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := r.options()
+	opt.FDP.QueueDepth = 1
+	opt.Shift.HistoryEntries = 1024
+	got, err := r.Run(w, core.PhantomFDP, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewRunnerFor(r.Scale, r.Workloads).Run(w, core.PhantomFDP, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != *want {
+		t.Errorf("shared runner returned IPC %.6f, a fresh runner measures %.6f (first cell: %.6f)",
+			got.IPC(), want.IPC(), first.IPC())
+	}
+	if *want == *first {
+		t.Error("the changed options did not change the result; the test is vacuous")
+	}
+}
+
+// TestOpaqueSourcesNotMemoized: a cell whose cores read from an
+// Options.Sources override has no cell key — arbitrary code feeds it — so
+// the runner simulates it every time instead of serving a memoized result.
+func TestOpaqueSourcesNotMemoized(t *testing.T) {
+	r := tinyRunner(t)
+	w := r.Workloads[0]
+	opt := r.options()
+	opt.Sources = func(i int) (trace.Source, error) {
+		return trace.NewExecutor(w, trace.CoreSeed(w.Prof.Seed, i)), nil
+	}
+	a, err := r.Run(w, core.Base1K, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.Run(w, core.Base1K, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Error("a cell with opaque sources was served from the memo")
+	}
+	if *a != *b {
+		t.Error("the same sources measured differently")
+	}
+	p := r.NewPlan()
+	p.Add(w, core.Base1K, opt)
+	p.Add(w, core.Base1K, opt)
+	if p.Len() != 2 {
+		t.Errorf("plan deduplicated keyless cells: %d cells", p.Len())
 	}
 }
 

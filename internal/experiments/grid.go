@@ -55,13 +55,15 @@ func (p *Plan) Add(w *synth.Workload, dp core.DesignPoint, opt core.Options) {
 }
 
 // AddMix schedules one consolidated cell (core i runs mix[i mod len(mix)]),
-// dropping duplicates of cells already planned.
+// dropping duplicates of cells already planned (cells without a cell key
+// are never duplicates).
 func (p *Plan) AddMix(mix []*synth.Workload, dp core.DesignPoint, opt core.Options) {
-	key := cellKey(mix, dp, opt)
-	if _, dup := p.seen[key]; dup {
-		return
+	if key, ok := p.r.cellStoreKey(mix, dp, opt); ok {
+		if _, dup := p.seen[key]; dup {
+			return
+		}
+		p.seen[key] = struct{}{}
 	}
-	p.seen[key] = struct{}{}
 	p.cells = append(p.cells, Cell{Mix: mix, Design: dp, Opt: opt})
 }
 
@@ -86,18 +88,19 @@ func (p *Plan) Execute(ctx context.Context) error {
 }
 
 // Stats executes the plan and returns results in cell insertion order —
-// the deterministic, completion-order-independent view of the grid.
+// the deterministic, completion-order-independent view of the grid. Each
+// cell runs once, keyless cells included.
 func (p *Plan) Stats(ctx context.Context) ([]*frontend.Stats, error) {
-	if err := p.Execute(ctx); err != nil {
-		return nil, err
-	}
 	out := make([]*frontend.Stats, len(p.cells))
-	for i, c := range p.cells {
-		st, _, err := p.r.RunMixCtx(ctx, c.Mix, c.Design, c.Opt)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
+	err := parallel.ForEach(ctx, p.r.workers(), len(p.cells),
+		func(ctx context.Context, i int) error {
+			c := p.cells[i]
+			st, _, err := p.r.RunMixCtx(ctx, c.Mix, c.Design, c.Opt)
+			out[i] = st
+			return err
+		})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

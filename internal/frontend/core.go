@@ -115,6 +115,8 @@ type Core struct {
 	// ffCt holds the fast-forward probe tallies (fast.go); not part of st,
 	// and kept out of the hot cluster above — only FastStep touches it.
 	ffCt FFCounts
+	// ffLog, when non-nil, defers FastStep's cross-core writes (fast.go).
+	ffLog *SharedLog
 
 	// Address-space tag forms (from cfg.ASID): asBase ORs into addresses
 	// crossing into the shared LLC, keyTag into block keys recorded to the

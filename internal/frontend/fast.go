@@ -44,13 +44,53 @@ func (a *FFCounts) Sub(b *FFCounts) {
 // FFCounts returns the core's cumulative fast-forward probe tallies.
 func (c *Core) FFCounts() FFCounts { return c.ffCt }
 
+// SharedOp is one cross-core write FastStep deferred into a SharedLog:
+// an LLC warm of block address Key or, with Record set, a history record
+// of block key Key.
+type SharedOp struct {
+	Ord    uint32 // ordinal of the record whose step issued the op
+	Record bool
+	Key    uint64
+}
+
+// SharedLog collects the cross-core writes of a core's fast-forward so
+// the CMP engine can step cores one at a time and replay the writes in
+// round-robin order afterwards (see package cmp). FastStep never reads
+// the structures it logs writes to, so deferring the writes changes
+// nothing but when they land. The caller sets Ord before each FastStep.
+type SharedLog struct {
+	Ord uint32
+	Ops []SharedOp
+	// History routes history records into the log as well; it is set
+	// when another core records into the same history. A history only
+	// this core records can take its writes directly: nothing reads it
+	// during fast-forward, and its own order is kept.
+	History bool
+}
+
+// SetSharedLog routes FastStep's cross-core writes into l; nil restores
+// direct writes. Step ignores the log.
+func (c *Core) SetSharedLog(l *SharedLog) { c.ffLog = l }
+
+// ApplyShared performs one logged write against the shared structures.
+func (c *Core) ApplyShared(op *SharedOp) {
+	if op.Record {
+		c.cfg.Recorder.Record(op.Key)
+	} else {
+		c.cfg.Hier.Warm(isa.Addr(op.Key))
+	}
+}
+
 // FastStep advances one executed basic block through the functional
 // fast-forward path: architectural and history-relevant state evolves —
 // branch predictor tables, RAS, ITC, BTB contents, L1-I and LLC
 // contents, and the SHIFT stream history — while timing (stall and
 // penalty accounting, prefetcher run-ahead, MSHR tracking) is skipped
 // entirely. No Stats counter moves; the engine tracks fast-forwarded
-// progress itself.
+// progress itself. Apart from a shared-store BTB's lookups (PhantomBTB),
+// the only shared state it touches — the LLC and a shared history — is
+// written, never read, and with a SharedLog set those writes are deferred
+// into it.
 //
 // The structure deliberately mirrors Step stage for stage (materialize
 // ready fills, predict + resolve, per-block access, cycle advance) so
@@ -104,13 +144,21 @@ func (c *Core) FastStep(rec *trace.Record) {
 					c.ffCt.L1IMisses++
 					// Functional LLC touch: contents and replacement state
 					// evolve as under a demand access, no latency charged.
-					c.cfg.Hier.Warm(b | c.asBase)
+					if l := c.ffLog; l != nil {
+						l.Ops = append(l.Ops, SharedOp{Ord: l.Ord, Key: uint64(b | c.asBase)})
+					} else {
+						c.cfg.Hier.Warm(b | c.asBase)
+					}
 					c.fillQuiet(now, b, true)
 				}
 			}
 			if c.cfg.Recorder != nil {
 				if !c.hasLast || key != c.lastBlock {
-					c.cfg.Recorder.Record(key | c.keyTag)
+					if l := c.ffLog; l != nil && l.History {
+						l.Ops = append(l.Ops, SharedOp{Ord: l.Ord, Record: true, Key: key | c.keyTag})
+					} else {
+						c.cfg.Recorder.Record(key | c.keyTag)
+					}
 					c.lastBlock = key
 					c.hasLast = true
 				}

@@ -149,15 +149,15 @@ func (p *PhantomBTB) drain(now float64) {
 func (p *PhantomBTB) Lookup(now float64, bb, brPC isa.Addr) btb.Result {
 	p.drain(now)
 	k := uint64(bb) >> 2
-	if e, ok := p.l1.Lookup(k); ok {
+	if _, ok := p.l1.Lookup(k); ok {
 		p.missPend = false
-		return btb.Result{Hit: true, Entry: e}
+		return btb.Result{Hit: true}
 	}
 	if e, ok := p.pfbuf.Take(k); ok {
 		p.insertL1(k, e)
 		p.missPend = false
 		p.GroupHits++
-		return btb.Result{Hit: true, Entry: e}
+		return btb.Result{Hit: true}
 	}
 	// First-level miss: trigger a group prefetch for this region and let
 	// Resolve append the missing entry to the forming group.
