@@ -14,7 +14,7 @@ COVER_FLOOR ?= 75.0
 # FUZZTIME bounds each fuzz target's run in `make fuzz` (CI uses 10s).
 FUZZTIME ?= 10s
 
-.PHONY: all build test race bench bench-json bench-intra bench-compare bench-serve serve-smoke store-smoke fleet-smoke sample-smoke perfbench-digests fmt vet lint cover fuzz examples ci
+.PHONY: all build test race bench bench-json bench-compare bench-serve serve-smoke store-smoke fleet-smoke sample-smoke perfbench-digests fmt vet lint cover fuzz examples ci
 
 all: build test
 
@@ -24,8 +24,10 @@ build:
 test:
 	go test ./...
 
+# race gets an explicit timeout: internal/experiments alone runs close to
+# go test's 10-minute default under the race detector on a 2-vCPU machine.
 race:
-	go test -race ./...
+	go test -race -timeout 30m ./...
 
 bench:
 	go test -run '^$$' -bench=. -benchtime=1x ./...
@@ -44,12 +46,6 @@ bench-json:
 	go test -run '^$$' -bench=. -benchtime=1x -count=5 -benchmem ./... > $(BENCH_OUT).txt
 	go run ./cmd/benchjson < $(BENCH_OUT).txt > $(BENCH_OUT)
 	@rm -f $(BENCH_OUT).txt
-
-# bench-intra mirrors the CI intra-smoke step: wall-clock of one 8-core
-# simulation, serial vs bound-weave (K=8, GOMAXPROCS workers), asserting a
-# ≥1.3x speedup. Meaningless on 1-CPU machines (the test skips itself).
-bench-intra:
-	INTRA_SMOKE=1 go test -run TestIntraWallClockSmoke -count=1 -v .
 
 # bench-compare gates the committed perf trajectory: per-benchmark ns/op
 # deltas between the PR's before/after snapshots, failing on >10%

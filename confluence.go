@@ -285,18 +285,6 @@ type Config struct {
 	// resolves through the REPRO_WORKERS environment variable, then
 	// GOMAXPROCS. A single Run is one simulation and ignores it.
 	Parallelism int
-	// IntraParallelism bounds the worker goroutines stepping cores inside
-	// this single simulation (bound-weave epochs; see internal/cmp). The
-	// default (0 or 1) is the serial engine — today's behavior. At
-	// EpochBlocks=1 (the default) results are bit-identical to serial for
-	// any IntraParallelism, so the knob is pure wall-clock.
-	IntraParallelism int
-	// EpochBlocks is K, the per-core epoch depth in basic blocks for
-	// bound-weave stepping. 0/1 (the default) is the exact mode; K>1 is a
-	// documented approximation — cross-core shared-timing feedback (LLC
-	// fills, SHIFT history records) arrives one epoch late — that remains
-	// bit-deterministic across worker counts for a given K.
-	EpochBlocks int
 }
 
 // Result is a completed simulation.
@@ -323,12 +311,43 @@ func Run(cfg Config) (*Result, error) {
 	return RunCtx(context.Background(), cfg)
 }
 
+// Shape resolves the config's zero-means-default sentinels: the CMP width
+// (Cores, else Options.Cores, else the paper's 16) and the per-core
+// warmup and measure instruction counts (zero selects 1.5M; NoWarmup
+// forces a zero-length warmup). It is the one definition of these
+// defaults; everything that keys or runs a config resolves through it.
+func (c Config) Shape() (cores int, warmup, measure uint64) {
+	cores = c.Options.Cores
+	if cores == 0 {
+		cores = core.DefaultOptions().Cores
+	}
+	if c.Cores > 0 {
+		cores = c.Cores
+	}
+	switch {
+	case c.NoWarmup:
+		warmup = 0
+	case c.WarmupInstr == 0:
+		warmup = defaultPhaseInstr
+	default:
+		warmup = c.WarmupInstr
+	}
+	measure = c.MeasureInstr
+	if measure == 0 {
+		measure = defaultPhaseInstr
+	}
+	return cores, warmup, measure
+}
+
+// defaultPhaseInstr is the per-core warmup and measure length a zero
+// WarmupInstr or MeasureInstr selects.
+const defaultPhaseInstr = 1_500_000
+
 // resolveConfig applies RunCtx's defaulting rules — mix vs. single
-// workload, CMP width, intra-parallelism knobs, the warmup/measure
-// instruction sentinels — and returns the resolved mix, engine options,
-// and config. It exists so ConfigStoreKey and RunCtx derive store keys
-// from one resolution path: a coordinator that computed keys with its own
-// copy of these rules would silently diverge the moment a default
+// workload, then Shape's sentinels — and returns the resolved mix, engine
+// options, and config. It exists so ConfigStoreKey and RunCtx derive store
+// keys from one resolution path: a coordinator that computed keys with its
+// own copy of these rules would silently diverge the moment a default
 // changed.
 func resolveConfig(cfg Config) ([]*Workload, core.Options, Config, error) {
 	mix := cfg.Mix
@@ -346,32 +365,11 @@ func resolveConfig(cfg Config) ([]*Workload, core.Options, Config, error) {
 		}
 	}
 	opt := cfg.Options
-	if opt.Cores == 0 {
-		// Only the CMP width needs defaulting here: core.NewMixSystem
-		// field-defaults the remaining tuning, so a caller's
-		// partially-specified Options (custom AirBTB geometry, private
-		// histories, ...) survives intact.
-		opt.Cores = core.DefaultOptions().Cores
-	}
-	if cfg.Cores > 0 {
-		opt.Cores = cfg.Cores
-	}
-	// Like Cores above, the Config knobs win over Options when both are set.
-	if cfg.IntraParallelism > 0 {
-		opt.IntraWorkers = cfg.IntraParallelism
-	}
-	if cfg.EpochBlocks > 0 {
-		opt.EpochBlocks = cfg.EpochBlocks
-	}
-	switch {
-	case cfg.NoWarmup:
-		cfg.WarmupInstr = 0
-	case cfg.WarmupInstr == 0:
-		cfg.WarmupInstr = 1_500_000
-	}
-	if cfg.MeasureInstr == 0 {
-		cfg.MeasureInstr = 1_500_000
-	}
+	// Only the CMP width needs defaulting here: core.NewMixSystem
+	// field-defaults the remaining tuning, so a caller's
+	// partially-specified Options (custom AirBTB geometry, private
+	// histories, ...) survives intact.
+	opt.Cores, cfg.WarmupInstr, cfg.MeasureInstr = cfg.Shape()
 	return mix, opt, cfg, nil
 }
 
@@ -389,11 +387,11 @@ func ConfigStoreKey(cfg Config) (string, bool) {
 }
 
 // RunCtx assembles and simulates one design point, honoring cancellation
-// mid-run: the epoch engine polls ctx at every epoch barrier, so a
-// cancelled simulation returns ctx.Err() within a few dozen basic blocks
-// per core instead of running to its instruction target. A run that
-// completes is bit-identical to Run — the poll feeds nothing back into
-// the timing model.
+// mid-run: the engine polls ctx once per decode batch, so a cancelled
+// simulation returns ctx.Err() within a few dozen basic blocks per core
+// instead of running to its instruction target. A run that completes is
+// bit-identical to Run — the poll feeds nothing back into the timing
+// model.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	mix, opt, cfg, err := resolveConfig(cfg)
 	if err != nil {
@@ -535,22 +533,10 @@ func RunMany(ctx context.Context, parallelism int, cfgs []Config) ([]*Result, er
 	return res, nil
 }
 
-// Compare runs several design points on one workload and returns speedups
-// relative to the first design in the list.
-//
-// Deprecated: use CompareWith, which takes a context (cancellation reaches
-// simulations mid-run) and a full base Config (cores, warmup/measure,
-// trace replay, parallelism). Compare(w, designs, cores) is exactly
-// CompareWith(context.Background(), Config{Workload: w, Cores: cores},
-// designs) and is kept as a thin wrapper for existing callers.
-func Compare(w *Workload, designs []DesignPoint, cores int) (map[DesignPoint]float64, error) {
-	return CompareWith(context.Background(), Config{Workload: w, Cores: cores}, designs)
-}
-
-// CompareWith is Compare with an explicit base configuration: every design
+// CompareWith runs several design points on one base configuration and
+// returns speedups relative to the first design in the list: every design
 // is simulated under base (Design ignored), fanning out across
-// base.Parallelism workers, and speedups are normalized to the first
-// design in the list.
+// base.Parallelism workers.
 func CompareWith(ctx context.Context, base Config, designs []DesignPoint) (map[DesignPoint]float64, error) {
 	if len(designs) == 0 {
 		return nil, fmt.Errorf("confluence: no designs to compare")

@@ -76,9 +76,9 @@ func TestCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Note: Compare at default instruction counts would be slow; keep the
-	// design list short and rely on the library defaults being modest.
-	speedups, err := Compare(w, []DesignPoint{Base1K, Ideal}, 2)
+	// Default instruction counts: keep the design list short.
+	base := Config{Workload: w, Cores: 2}
+	speedups, err := CompareWith(t.Context(), base, []DesignPoint{Base1K, Ideal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCompare(t *testing.T) {
 	if speedups[Ideal] <= 1.0 {
 		t.Errorf("Ideal speedup = %v", speedups[Ideal])
 	}
-	if _, err := Compare(w, nil, 2); err == nil {
+	if _, err := CompareWith(t.Context(), base, nil); err == nil {
 		t.Error("empty design list accepted")
 	}
 }

@@ -54,7 +54,7 @@ func goldenRun(t *testing.T) map[string]goldenMetrics {
 }
 
 // goldenRunWith runs the golden grid, letting tweak adjust each config
-// before it runs (the K>1 bound-weave golden sets EpochBlocks there).
+// before it runs.
 func goldenRunWith(t *testing.T, tweak func(*Config)) map[string]goldenMetrics {
 	t.Helper()
 	w := goldenWorkload(t)
@@ -95,8 +95,7 @@ func TestGoldenStats(t *testing.T) {
 }
 
 // verifyGolden compares got against the pinned file at path, or rewrites
-// the file under -update. It is shared by the serial golden and the
-// bound-weave K>1 golden (intra_test.go).
+// the file under -update.
 func verifyGolden(t *testing.T, path string, got map[string]goldenMetrics) {
 	t.Helper()
 	if *updateGolden {
@@ -116,7 +115,7 @@ func verifyGolden(t *testing.T, path string, got map[string]goldenMetrics) {
 
 	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run `go test -run 'TestGoldenStats|TestIntraKGoldenStats' -update ./` to create it)", err)
+		t.Fatalf("%v (run `go test -run TestGoldenStats -update ./` to create it)", err)
 	}
 	var want map[string]goldenMetrics
 	if err := json.Unmarshal(data, &want); err != nil {

@@ -58,8 +58,8 @@ func TestAssocStateRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(st, st2) || !reflect.DeepEqual(vals, vals2) {
 		t.Error("re-exported state differs from the snapshot")
 	}
-	if v, ok := fresh.Peek(99); !ok || v != 990 {
-		t.Errorf("Peek(99) = %d,%v after restore, want 990", v, ok)
+	if v, ok := fresh.Lookup(99); !ok || v != 990 {
+		t.Errorf("Lookup(99) = %d,%v after restore, want 990", v, ok)
 	}
 
 	if err := NewAssoc[uint64](8, 4).RestoreState(st, vals); err == nil {

@@ -7,56 +7,21 @@ import (
 	"confluence/internal/trace"
 )
 
-// intraSystem builds testSystem-shaped systems with an intra configuration.
-func intraSystem(t *testing.T, cores, workers, epoch int) *System {
-	t.Helper()
-	sys := testSystem(t, cores)
-	sys.SetIntra(workers, epoch)
-	return sys
-}
-
-// TestIntraExactIdentity: at K=1 the engine must be bit-identical to the
-// serial simulator for any worker count, at the cmp layer too.
-func TestIntraExactIdentity(t *testing.T) {
-	serial := mustRun(t, intraSystem(t, 3, 1, 1), 10_000, 30_000)
-	for _, workers := range []int{2, 8} {
-		got := mustRun(t, intraSystem(t, 3, workers, 1), 10_000, 30_000)
-		if *serial != *got {
-			t.Errorf("workers=%d diverged from serial:\n serial %+v\n got    %+v", workers, *serial, *got)
-		}
-	}
-}
-
-// TestIntraBoundDeterminism: at K>1 the approximation is bit-deterministic
-// across worker counts.
-func TestIntraBoundDeterminism(t *testing.T) {
-	one := mustRun(t, intraSystem(t, 3, 1, 8), 10_000, 30_000)
-	for _, workers := range []int{2, 8} {
-		got := mustRun(t, intraSystem(t, 3, workers, 8), 10_000, 30_000)
-		if *one != *got {
-			t.Errorf("K=8 workers=%d diverged from K=8 workers=1", workers)
-		}
-	}
-}
-
-// TestIntraSourceErrors: a finite source exhausting mid-run must abort the
-// run in every engine mode, and decode-ahead must not surface an EOF the
-// serial simulator would never have needed.
-func TestIntraSourceErrors(t *testing.T) {
+// TestRoundRobinSourceErrors: a finite source exhausting mid-run must
+// abort the run, and decode-ahead must not surface an EOF the round-robin
+// loop would never have needed.
+func TestRoundRobinSourceErrors(t *testing.T) {
 	for _, mode := range []struct {
-		name           string
-		workers, epoch int
-		sufficient     bool
+		name       string
+		sufficient bool
 	}{
-		{"exact-exhausted", 2, 1, false},
-		{"bound-exhausted", 2, 8, false},
+		{"exhausted", false},
 		// A target inside the finite source's budget must run clean: the
 		// EOF that decode-ahead (batch 64) reaches beyond the target stays
-		// invisible, exactly as in the serial simulator.
-		{"exact-sufficient", 2, 1, true},
-		{"bound-sufficient", 2, 8, true},
+		// invisible.
+		{"sufficient", true},
 	} {
-		sys := intraSystem(t, 2, mode.workers, mode.epoch)
+		sys := testSystem(t, 2)
 		live := sys.Sources[0]
 		short, err := trace.RecordFrom(live, 50)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"confluence/internal/frontend"
+	"confluence/internal/phantom"
 	"confluence/internal/prefetch"
 )
 
@@ -142,10 +143,10 @@ func (sp Sampling) TotalInstr() uint64 {
 
 // FastForward advances every core by approximately n instructions
 // through the functional fast-forward path. Results are bit-identical to
-// stepping the cores round-robin, for any worker count and any K: the
-// engine steps core-major (see the package comment) unless a core's BTB
-// reads a shared store, and round-robin, with shared writes applied
-// directly in canonical order, when one does.
+// stepping the cores round-robin: the engine steps core-major (see the
+// package comment) unless a core's BTB reads a shared store, and
+// round-robin, with shared writes applied directly in core order, when
+// one does.
 func (s *System) FastForward(ctx context.Context, n uint64) error {
 	if s.eng == nil {
 		s.eng = newEngine(s)
@@ -153,48 +154,20 @@ func (s *System) FastForward(ctx context.Context, n uint64) error {
 	if n == 0 {
 		return nil
 	}
-	s.eng.setFF(true)
+	s.eng.ff = true
 	err := s.eng.phase(ctx, n)
-	s.eng.setFF(false)
+	s.eng.ff = false
 	return err
 }
 
-// setFF flips the engine between detailed and fast-forward stepping.
-// Fast-forward always runs under the exact serial weave, so a K>1
-// engine's deferral plumbing is rewired for the duration: history
-// records go straight to their target and shared-store BTBs apply
-// immediately. Logs are empty at every phase boundary (the weave barrier
-// drains them), so flipping loses nothing. The bound memory port stays
-// installed — FastStep never consults it.
-func (e *engine) setFF(on bool) {
-	if e.ff == on {
-		return
-	}
-	e.ff = on
-	if e.k > 1 {
-		for i, c := range e.s.Cores {
-			if d := e.recs[i]; d != nil {
-				if on {
-					c.SetRecorder(d.Target.(frontend.HistoryRecorder))
-				} else {
-					c.SetRecorder(d)
-				}
-			}
-			if wd := e.weaves[i]; wd != nil {
-				wd.SetDeferred(!on)
-			}
-		}
-	}
-}
-
 // initCoreMajor selects the fast-forward loop from the wired designs and
-// attaches each core's shared-write log (Step ignores it). It runs before
-// K>1 rewiring, so the recorders it compares are the histories
-// themselves.
+// attaches each core's shared-write log (Step ignores it). A PhantomBTB
+// reads its shared group store on every lookup, so one forces the
+// round-robin loop.
 func (e *engine) initCoreMajor() {
 	cores := e.s.Cores
 	for _, c := range cores {
-		if _, shared := c.BTB().(weaveDesign); shared {
+		if _, shared := c.BTB().(*phantom.PhantomBTB); shared {
 			return
 		}
 	}

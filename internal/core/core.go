@@ -158,16 +158,6 @@ type Options struct {
 	// HistoryPerCore gives every core a private SHIFT history instead of
 	// the shared one (ablation; the paper shares).
 	HistoryPerCore bool
-	// IntraWorkers bounds the worker goroutines stepping cores inside this
-	// one simulation (bound-weave epochs; see internal/cmp). Zero or one is
-	// the serial engine. At EpochBlocks=1 any worker count is bit-identical
-	// to serial.
-	IntraWorkers int
-	// EpochBlocks is K, the basic blocks each core advances per bound
-	// epoch. Zero or one (the default) is the exact mode; K>1 trades
-	// one-epoch-stale cross-core timing feedback for parallel stepping and
-	// is deterministic per K, but not bit-identical to K=1.
-	EpochBlocks int
 	// Sources overrides where cores' instruction streams come from. Nil
 	// selects the workload's own supply: live synthetic executors, or — for
 	// a workload carrying a TraceDir — file replay of its capture.
@@ -438,7 +428,6 @@ func NewMixSystem(mix []*synth.Workload, dp DesignPoint, opt Options) (*System, 
 		closeAll(srcs)
 		return nil, err
 	}
-	inner.SetIntra(opt.IntraWorkers, opt.EpochBlocks)
 	sys.System = inner
 	sys.OverheadMM2 = overheadMM2(dp, opt)
 	sys.RelativeArea = area.Relative(sys.OverheadMM2)

@@ -75,15 +75,6 @@ type Runner struct {
 	// Workers bounds concurrent simulations when a Plan executes. Zero
 	// resolves through REPRO_WORKERS, then GOMAXPROCS (see parallel.Workers).
 	Workers int
-	// IntraWorkers enables bound-weave parallelism inside each simulation
-	// (core.Options.IntraWorkers). The runner's goroutine budget is shared:
-	// with IntraWorkers > 1 the grid fan-out shrinks to
-	// max(1, Workers/IntraWorkers), so grid-level times in-run parallelism
-	// stays bounded by the configured worker count.
-	IntraWorkers int
-	// EpochBlocks is the bound-weave epoch depth K forwarded to every cell
-	// (core.Options.EpochBlocks); 0/1 is the exact mode.
-	EpochBlocks int
 	// Sampling, when enabled, runs every cell in SMARTS-style sampled
 	// mode: warm-up by functional fast-forward (reusing durable warm
 	// snapshots when Store is set), then windowed detailed measurement
@@ -178,25 +169,8 @@ func (r *Runner) cellStoreKey(mix []*synth.Workload, dp core.DesignPoint, opt co
 	return CellStoreKeySampled(r.Scale.Warmup, r.Scale.Measure, mix, "", dp, opt, r.Sampling)
 }
 
-// SplitWorkers resolves a goroutine budget shared between grid-level and
-// in-run parallelism: workers (0 = REPRO_WORKERS, then GOMAXPROCS) divided
-// by the per-simulation stepping workers, floor 1 — so grid fan-out times
-// intra workers stays ≈ the budget. It is the single definition behind
-// Runner.workers() and the CLIs' replay paths.
-func SplitWorkers(workers, intraWorkers int) int {
-	g := parallel.Workers(workers)
-	if intraWorkers > 1 {
-		g /= intraWorkers
-		if g < 1 {
-			g = 1
-		}
-	}
-	return g
-}
-
-// workers resolves the runner's effective grid-level worker count (see
-// SplitWorkers).
-func (r *Runner) workers() int { return SplitWorkers(r.Workers, r.IntraWorkers) }
+// workers resolves the runner's effective grid-level worker count.
+func (r *Runner) workers() int { return parallel.Workers(r.Workers) }
 
 // Run simulates one (workload, design point, options) cell, with caching.
 // It is shorthand for RunCtx with a background context.
@@ -293,8 +267,8 @@ func (e ProgressEvent) String() string {
 // (emitting the same progress event a live run would), and a completed run
 // is written back before its progress line is emitted — so an observer
 // that has seen a cell reported knows the cell is durable. Cancellation
-// reaches a started cell mid-run: the epoch engine polls ctx at every
-// epoch barrier.
+// reaches a started cell mid-run: the engine polls ctx once per decode
+// batch.
 func (r *Runner) simulate(ctx context.Context, storeKey string, mix []*synth.Workload, dp core.DesignPoint, opt core.Options) (*frontend.Stats, []*frontend.Stats, *SampledReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
@@ -374,8 +348,6 @@ func (r *Runner) progress(build func() ProgressEvent) {
 func (r *Runner) options() core.Options {
 	opt := core.DefaultOptions()
 	opt.Cores = r.Scale.Cores
-	opt.IntraWorkers = r.IntraWorkers
-	opt.EpochBlocks = r.EpochBlocks
 	return opt
 }
 

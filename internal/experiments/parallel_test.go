@@ -53,10 +53,9 @@ var detDesigns = []core.DesignPoint{
 func TestParallelDeterminism(t *testing.T) {
 	sc := Scale{Name: "tiny", Cores: 2, Warmup: 100_000, Measure: 150_000}
 	wB := detWorkloadB(t)
-	runGrid := func(workers, intraWorkers int) []*frontend.Stats {
+	runGrid := func(workers int) []*frontend.Stats {
 		r := NewRunnerFor(sc, []*synth.Workload{detWorkload(t)})
 		r.Workers = workers
-		r.IntraWorkers = intraWorkers
 		r.Progress = func(string) {} // exercise the serialized callback path
 		plan := r.Grid(detDesigns)
 		// A non-default-options cell too, so the options reach the cell key.
@@ -75,47 +74,15 @@ func TestParallelDeterminism(t *testing.T) {
 		return stats
 	}
 
-	serial := runGrid(1, 0)
-	for _, mode := range []struct {
-		name                  string
-		workers, intraWorkers int
-	}{
-		// Grid-level fan-out alone, in-run bound-weave workers alone, and
-		// both at once: every combination must reproduce the serial grid
-		// bit-exactly (the runner splits its goroutine budget between the
-		// two levels, so 8×2 runs ~4 concurrent cells of 2 stepping workers).
-		{"Workers=8", 8, 0},
-		{"IntraWorkers=2", 1, 2},
-		{"Workers=8+IntraWorkers=2", 8, 2},
-	} {
-		got := runGrid(mode.workers, mode.intraWorkers)
-		if len(serial) != len(got) {
-			t.Fatalf("%s: cell counts differ: %d vs %d", mode.name, len(serial), len(got))
+	serial, got := runGrid(1), runGrid(8)
+	if len(serial) != len(got) {
+		t.Fatalf("cell counts differ: %d vs %d", len(serial), len(got))
+	}
+	for i := range serial {
+		if *serial[i] != *got[i] {
+			t.Errorf("cell %d diverged between Workers=1 and Workers=8:\n  %+v\nvs\n  %+v",
+				i, *serial[i], *got[i])
 		}
-		for i := range serial {
-			if *serial[i] != *got[i] {
-				t.Errorf("cell %d diverged between Workers=1 and %s:\n  %+v\nvs\n  %+v",
-					i, mode.name, *serial[i], *got[i])
-			}
-		}
-	}
-}
-
-// TestWorkerBudgetSplit pins the grid/in-run goroutine budget arithmetic:
-// IntraWorkers divides the grid fan-out so total concurrency stays bounded.
-func TestWorkerBudgetSplit(t *testing.T) {
-	r := NewRunnerFor(Small, nil)
-	r.Workers = 8
-	if got := r.workers(); got != 8 {
-		t.Errorf("no intra: grid workers = %d, want 8", got)
-	}
-	r.IntraWorkers = 2
-	if got := r.workers(); got != 4 {
-		t.Errorf("intra=2: grid workers = %d, want 4", got)
-	}
-	r.IntraWorkers = 16
-	if got := r.workers(); got != 1 {
-		t.Errorf("intra=16: grid workers = %d, want 1 (floor)", got)
 	}
 }
 

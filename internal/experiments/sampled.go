@@ -31,9 +31,8 @@ const WarmVersion = "confluence-warm-v1"
 // the first window boundary, and nothing that cannot change it. Design
 // points collapse to their WarmClass — Base1K and FDP1K, differing only
 // in timing machinery that fast-forward never touches, share snapshots —
-// and pure timing knobs (prefetcher lookahead, epoch depth, worker
-// counts) are absent: fast-forward always runs the exact serial
-// schedule.
+// and pure timing knobs (prefetcher lookahead, worker counts) are
+// absent: neither changes the warm state fast-forward builds.
 type warmKeyMaterial struct {
 	Version        string          `json:"version"`
 	Warmup         uint64          `json:"warmup"`

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"confluence/internal/core"
+	"confluence/internal/frontend"
 	"confluence/internal/store"
 	"confluence/internal/synth"
 )
@@ -92,30 +93,24 @@ func TestSampledTolerance(t *testing.T) {
 	}
 }
 
-// TestSampledDeterministicAcrossWorkers: sampled execution always weaves
-// shared state on the exact serial schedule, so the worker count must not
-// change a single bit of the result.
+// TestSampledDeterministicAcrossWorkers: a sampled grid — core-major
+// fast-forward, and the round-robin fallback PhantomBTB forces — yields
+// bit-identical cells on one worker or four.
 func TestSampledDeterministicAcrossWorkers(t *testing.T) {
-	w := detWorkload(t)
-	sp := core.AutoSampling(150_000)
-	run := func(intraWorkers int) any {
-		opt := core.DefaultOptions()
-		opt.Cores = 2
-		opt.IntraWorkers = intraWorkers
-		sys, err := core.NewMixSystem([]*synth.Workload{w}, core.Confluence, opt)
+	sc := Scale{Name: "tiny", Cores: 2, Warmup: 80_000, Measure: 150_000}
+	run := func(workers int) []*frontend.Stats {
+		r := NewRunnerFor(sc, []*synth.Workload{detWorkload(t)})
+		r.Workers = workers
+		r.Sampling = core.AutoSampling(sc.Measure)
+		stats, err := r.Grid([]core.DesignPoint{core.Confluence, core.PhantomSHIFT}).Stats(t.Context())
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sys.Close()
-		agg, perCore, rep, err := RunSampledSystem(t.Context(), sys, 80_000, sp, nil, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []any{agg, perCore, rep}
+		return stats
 	}
 	a, b := run(1), run(4)
 	if !reflect.DeepEqual(a, b) {
-		t.Error("sampled run diverged between IntraWorkers=1 and IntraWorkers=4")
+		t.Error("sampled grid diverged between Workers=1 and Workers=4")
 	}
 }
 

@@ -24,10 +24,8 @@ const ResultVersion = "confluence-results-v1"
 
 // cellKeyMaterial is the canonical serialization a cell's store key is
 // hashed from: everything that determines the cell's result, and nothing
-// that cannot change it. In particular worker counts (Runner.Workers,
-// Options.IntraWorkers) are absent — the determinism contract guarantees
-// they never change results — while EpochBlocks is present because K>1
-// changes timing feedback.
+// that cannot change it. In particular worker counts (Runner.Workers) are
+// absent — the determinism contract guarantees they never change results.
 //
 // Workloads appear as their full synth.Profile: generation is deterministic
 // in the profile (synth.Build), so the profile is the workload's complete
@@ -70,8 +68,8 @@ type traceFileKey struct {
 }
 
 // optionsKey is core.Options restricted to the result-determining fields
-// (no IntraWorkers, no Sources), normalized so explicit defaults and
-// zero-value sentinels hash identically.
+// (no Sources), normalized so explicit defaults and zero-value sentinels
+// hash identically.
 type optionsKey struct {
 	Cores           int           `json:"cores"`
 	Air             airbtb.Config `json:"air"`
@@ -79,7 +77,10 @@ type optionsKey struct {
 	FDP             fdp.Config    `json:"fdp"`
 	SweepBTBEntries int           `json:"sweep_btb_entries"`
 	HistoryPerCore  bool          `json:"history_per_core"`
-	EpochBlocks     int           `json:"epoch_blocks"`
+	// EpochBlocks is always 1 and selects nothing. Stored results were
+	// keyed with the field at 1, so it stays, pinned, to keep their keys
+	// byte-stable without a ResultVersion bump.
+	EpochBlocks int `json:"epoch_blocks"`
 }
 
 // CellStoreKey derives the durable store key for one simulation cell:
@@ -114,7 +115,7 @@ func CellStoreKeySampled(warmup, measure uint64, mix []*synth.Workload, traceDir
 			FDP:             opt.FDP,
 			SweepBTBEntries: opt.SweepBTBEntries,
 			HistoryPerCore:  opt.HistoryPerCore,
-			EpochBlocks:     max(opt.EpochBlocks, 1),
+			EpochBlocks:     1,
 		},
 	}
 	if sp.Enabled() {

@@ -160,23 +160,6 @@ func TestCellStoreKeyIdentity(t *testing.T) {
 
 	ref := key(base, core.Base1K)
 
-	// Worker counts must not change the key (determinism contract).
-	intra := base
-	intra.IntraWorkers = 8
-	if key(intra, core.Base1K) != ref {
-		t.Error("IntraWorkers changed the store key")
-	}
-	// EpochBlocks 0 and 1 are the same exact mode; K=2 is a different model.
-	k1 := base
-	k1.EpochBlocks = 1
-	if key(k1, core.Base1K) != ref {
-		t.Error("EpochBlocks=1 diverged from the 0 default")
-	}
-	k2 := base
-	k2.EpochBlocks = 2
-	if key(k2, core.Base1K) == ref {
-		t.Error("EpochBlocks=2 shares the exact mode's key")
-	}
 	// Zero-valued sentinels and their explicit defaults are one cell.
 	sparse := core.Options{Cores: 2}
 	if key(sparse, core.Base1K) != ref {

@@ -248,9 +248,7 @@ func asExpr(n ast.Node) ast.Expr {
 
 // BareGoroutine bans `go` statements in simulation packages:
 // simulation-side concurrency must go through internal/parallel's
-// deterministic fan-out or the cmp epoch engine (whose worker pool
-// carries an explicit //confluence:allow with the weave-barrier
-// argument). Infra packages schedule goroutines freely.
+// deterministic fan-out. Infra packages schedule goroutines freely.
 var BareGoroutine = &Analyzer{
 	Name: "baregoroutine",
 	Doc:  "forbid bare go statements in simulation packages",

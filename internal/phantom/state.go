@@ -1,8 +1,6 @@
 package phantom
 
 import (
-	"fmt"
-
 	"confluence/internal/btb"
 	"confluence/internal/cache"
 )
@@ -11,10 +9,6 @@ import (
 // unexported (values never leave the package in live operation), so the
 // snapshot forms below mirror them field-for-field in exported shape —
 // gob cannot serialize unexported fields. Conversions are lossless.
-//
-// Snapshots are captured at phase boundaries, where the bound-phase
-// deferred log is empty by construction (ApplyLog runs at every weave
-// barrier), so the log is not part of the state.
 
 // GroupState is the exported form of one temporal group.
 type GroupState struct {
@@ -108,12 +102,8 @@ func (p *PhantomBTB) ExportState() State {
 }
 
 // RestoreState overwrites the per-core state from a snapshot; geometry
-// must match. A restore with a non-empty deferred log would lose logged
-// operations, so it is rejected.
+// must match.
 func (p *PhantomBTB) RestoreState(st State) error {
-	if len(p.log) != 0 {
-		return fmt.Errorf("phantom: restore with %d unapplied logged store ops", len(p.log))
-	}
 	if err := p.l1.RestoreState(st.L1, st.L1Vals); err != nil {
 		return err
 	}

@@ -302,8 +302,6 @@ func executeMixStudy(ctx context.Context, spec *confluence.JobSpec, storeDir str
 	if r.Workers <= 0 {
 		r.Workers = 1
 	}
-	r.IntraWorkers = spec.IntraParallelism
-	r.EpochBlocks = spec.EpochBlocks
 	r.OnProgress = emit
 	rows, err := r.MixStudyFor(ctx, [][]*confluence.Workload{mix}, designs)
 	if err != nil {
@@ -313,22 +311,10 @@ func executeMixStudy(ctx context.Context, spec *confluence.JobSpec, storeDir str
 }
 
 // jobScale maps a spec's simulation-shape fields onto an experiments
-// Scale with the same defaults Config applies (16 cores, 1.5M
-// warmup/measure per core, NoWarmup forcing a zero-length warmup).
+// Scale, resolving the defaults as Config does (JobSpec.Shape).
 func jobScale(spec *confluence.JobSpec) experiments.Scale {
-	sc := experiments.Scale{Name: "job", Cores: spec.Cores, Warmup: spec.WarmupInstr, Measure: spec.MeasureInstr}
-	if sc.Cores <= 0 {
-		sc.Cores = 16
-	}
-	switch {
-	case spec.NoWarmup:
-		sc.Warmup = 0
-	case sc.Warmup == 0:
-		sc.Warmup = 1_500_000
-	}
-	if sc.Measure == 0 {
-		sc.Measure = 1_500_000
-	}
+	sc := experiments.Scale{Name: "job"}
+	sc.Cores, sc.Warmup, sc.Measure = spec.Shape()
 	return sc
 }
 

@@ -11,8 +11,7 @@ import (
 // jobKeyMaterial is the canonical serialization a job's store key is
 // hashed from: the result-determining JobSpec fields, normalized, plus the
 // code version. Scheduling knobs are absent — Priority orders the queue
-// and Parallelism/IntraParallelism split goroutines, none of which can
-// change results (EpochBlocks can, and stays).
+// and Parallelism bounds goroutines, neither of which can change results.
 type jobKeyMaterial struct {
 	Version string             `json:"version"`
 	Spec    confluence.JobSpec `json:"spec"`
@@ -30,22 +29,9 @@ func jobStoreKey(spec *confluence.JobSpec) (string, bool) {
 	norm.Kind = spec.NormKind()
 	norm.Priority = 0
 	norm.Parallelism = 0
-	norm.IntraParallelism = 0
 	// Resolve the zero-means-default sentinels so an explicit default and
-	// an omitted field address the same entry (Config semantics: 16 cores,
-	// 1.5M instructions per phase, NoWarmup forcing a zero-length warmup).
-	if norm.Cores <= 0 {
-		norm.Cores = 16
-	}
-	switch {
-	case norm.NoWarmup:
-		norm.WarmupInstr = 0
-	case norm.WarmupInstr == 0:
-		norm.WarmupInstr = 1_500_000
-	}
-	if norm.MeasureInstr == 0 {
-		norm.MeasureInstr = 1_500_000
-	}
+	// an omitted field address the same entry.
+	norm.Cores, norm.WarmupInstr, norm.MeasureInstr = spec.Shape()
 	material, err := json.Marshal(jobKeyMaterial{Version: experiments.ResultVersion, Spec: norm})
 	if err != nil {
 		return "", false

@@ -151,9 +151,9 @@ func TestJobStoreKeyNormalization(t *testing.T) {
 		t.Error("Priority changed the job store key")
 	}
 	par := tinySpec()
-	par.Parallelism, par.IntraParallelism = 8, 4
+	par.Parallelism = 8
 	if key(par) != ref {
-		t.Error("Parallelism knobs changed the job store key")
+		t.Error("Parallelism changed the job store key")
 	}
 	// Kind normalization: "" and "point" are the same shape.
 	kp := tinySpec()
@@ -174,11 +174,6 @@ func TestJobStoreKeyNormalization(t *testing.T) {
 	design.Design = "Confluence"
 	if key(design) == ref {
 		t.Error("design not part of the job store key")
-	}
-	k2 := tinySpec()
-	k2.EpochBlocks = 2
-	if key(k2) == ref {
-		t.Error("EpochBlocks not part of the job store key")
 	}
 
 	// Trace replays are not job-level cacheable.

@@ -62,10 +62,8 @@ type JobSpec struct {
 	MeasureInstr uint64 `json:"measure_instr,omitempty"`
 	NoWarmup     bool   `json:"no_warmup,omitempty"`
 
-	// Parallelism knobs (Config semantics; K = EpochBlocks).
-	Parallelism      int `json:"parallelism,omitempty"`
-	IntraParallelism int `json:"intra_parallelism,omitempty"`
-	EpochBlocks      int `json:"epoch_blocks,omitempty"`
+	// Parallelism bounds concurrent simulations (Config semantics).
+	Parallelism int `json:"parallelism,omitempty"`
 
 	// Sampled execution (Config.Sampling semantics): the fields map
 	// onto the Sampling plan field for field; all zero runs exact.
@@ -147,8 +145,8 @@ func (s *JobSpec) Validate() error {
 			return bad("unknown design %q (have: %s)", name, strings.Join(DesignNames(), ", "))
 		}
 	}
-	if s.Cores < 0 || s.Parallelism < 0 || s.IntraParallelism < 0 || s.EpochBlocks < 0 {
-		return bad("cores/parallelism/intra_parallelism/epoch_blocks must be non-negative")
+	if s.Cores < 0 || s.Parallelism < 0 {
+		return bad("cores/parallelism must be non-negative")
 	}
 	if s.SampleWindows < 0 {
 		return bad("sample_windows must be non-negative")
@@ -231,19 +229,23 @@ func (s *JobSpec) sampling() Sampling {
 	}
 }
 
+// Shape resolves the spec's zero-means-default sentinels exactly as
+// Config.Shape does for the Config the spec describes.
+func (s *JobSpec) Shape() (cores int, warmup, measure uint64) {
+	return s.baseConfig().Shape()
+}
+
 // baseConfig maps the spec's simulation-shape fields onto a Config
 // (workloads and design still unset).
 func (s *JobSpec) baseConfig() Config {
 	return Config{
-		Cores:            s.Cores,
-		WarmupInstr:      s.WarmupInstr,
-		MeasureInstr:     s.MeasureInstr,
-		NoWarmup:         s.NoWarmup,
-		TraceDir:         s.TraceDir,
-		Parallelism:      s.Parallelism,
-		IntraParallelism: s.IntraParallelism,
-		EpochBlocks:      s.EpochBlocks,
-		Sampling:         s.sampling(),
+		Cores:        s.Cores,
+		WarmupInstr:  s.WarmupInstr,
+		MeasureInstr: s.MeasureInstr,
+		NoWarmup:     s.NoWarmup,
+		TraceDir:     s.TraceDir,
+		Parallelism:  s.Parallelism,
+		Sampling:     s.sampling(),
 	}
 }
 
@@ -381,8 +383,6 @@ func SpecFromConfig(cfg Config) (*JobSpec, error) {
 		MeasureInstr:            cfg.MeasureInstr,
 		NoWarmup:                cfg.NoWarmup,
 		Parallelism:             cfg.Parallelism,
-		IntraParallelism:        cfg.IntraParallelism,
-		EpochBlocks:             cfg.EpochBlocks,
 		SampleWindowInstr:       cfg.Sampling.WindowInstr,
 		SamplePeriodInstr:       cfg.Sampling.PeriodInstr,
 		SampleWindows:           cfg.Sampling.Windows,
