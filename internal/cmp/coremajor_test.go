@@ -59,7 +59,9 @@ func ffPair(t *testing.T, mix []*synth.Workload, dp core.DesignPoint, opt core.O
 // TestCoreMajorFastForwardEquivalence: core-major fast-forward leaves every
 // design bit-identical to the round-robin loop — the warm snapshot (LLC,
 // shared history, every core's private state, stream positions) and the
-// sampled measurement that follows it.
+// sampled measurement that follows it. K is the number of FastForward
+// calls the warm-up is cut into, the same cut for both loops, so K8 also
+// checks that each loop resumes where its previous call stopped.
 func TestCoreMajorFastForwardEquivalence(t *testing.T) {
 	ws := smallWorkloads(t, 4)
 	mixes := [][]*synth.Workload{ws[:1], ws[:2], ws[:4]}
@@ -71,64 +73,67 @@ func TestCoreMajorFastForwardEquivalence(t *testing.T) {
 				continue
 			}
 			for _, mix := range mixes {
-				// The K1 segment keeps the subtest names stable.
-				name := fmt.Sprintf("%v/mix%d/K1/perCore=%v", dp, len(mix), perCore)
-				t.Run(name, func(t *testing.T) {
-					opt := core.DefaultOptions()
-					opt.Cores = 4
-					opt.SweepBTBEntries = 512
-					opt.HistoryPerCore = perCore
-					a, b := ffPair(t, mix, dp, opt)
-					phantom := dp == core.PhantomFDP || dp == core.PhantomSHIFT
-					if cmp.CoreMajorFF(a.System) == phantom {
-						t.Fatalf("core-major = %v for %v", !phantom, dp)
-					}
-					for _, s := range []*core.System{a, b} {
-						if err := s.FastForward(ctx, 20_000); err != nil {
-							t.Fatal(err)
+				for _, k := range []int{1, 8} {
+					name := fmt.Sprintf("%v/mix%d/K%d/perCore=%v", dp, len(mix), k, perCore)
+					t.Run(name, func(t *testing.T) {
+						opt := core.DefaultOptions()
+						opt.Cores = 4
+						opt.SweepBTBEntries = 512
+						opt.HistoryPerCore = perCore
+						a, b := ffPair(t, mix, dp, opt)
+						phantom := dp == core.PhantomFDP || dp == core.PhantomSHIFT
+						if cmp.CoreMajorFF(a.System) == phantom {
+							t.Fatalf("core-major = %v for %v", !phantom, dp)
 						}
-					}
-					if a.SnapshotSupported() {
-						sa, err := a.WarmSnapshot()
-						if err != nil {
-							t.Fatal(err)
-						}
-						sb, err := b.WarmSnapshot()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(sa, sb) {
-							t.Fatal("warm snapshots differ")
-						}
-					} else {
-						// Per-core histories are out of the snapshot's
-						// reach: compare the LLC, each core's private
-						// state and core 0's history directly.
-						if !reflect.DeepEqual(a.Hier.ExportLLCState(), b.Hier.ExportLLCState()) {
-							t.Fatal("LLC state differs")
-						}
-						for i := range a.Cores {
-							if !reflect.DeepEqual(a.Cores[i].ExportWarmState(), b.Cores[i].ExportWarmState()) {
-								t.Fatalf("core %d state differs", i)
+						for _, s := range []*core.System{a, b} {
+							for range k {
+								if err := s.FastForward(ctx, uint64(20_000/k)); err != nil {
+									t.Fatal(err)
+								}
 							}
 						}
-						if !reflect.DeepEqual(a.History.ExportState(), b.History.ExportState()) {
-							t.Fatal("core 0's history differs")
+						if a.SnapshotSupported() {
+							sa, err := a.WarmSnapshot()
+							if err != nil {
+								t.Fatal(err)
+							}
+							sb, err := b.WarmSnapshot()
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !bytes.Equal(sa, sb) {
+								t.Fatal("warm snapshots differ")
+							}
+						} else {
+							// Per-core histories are out of the snapshot's
+							// reach: compare the LLC, each core's private
+							// state and core 0's history directly.
+							if !reflect.DeepEqual(a.Hier.ExportLLCState(), b.Hier.ExportLLCState()) {
+								t.Fatal("LLC state differs")
+							}
+							for i := range a.Cores {
+								if !reflect.DeepEqual(a.Cores[i].ExportWarmState(), b.Cores[i].ExportWarmState()) {
+									t.Fatalf("core %d state differs", i)
+								}
+							}
+							if !reflect.DeepEqual(a.History.ExportState(), b.History.ExportState()) {
+								t.Fatal("core 0's history differs")
+							}
 						}
-					}
-					aggA, winA, pcA, covA, err := a.RunSampled(ctx, sp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					aggB, winB, pcB, covB, err := b.RunSampled(ctx, sp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(aggA, aggB) || !reflect.DeepEqual(winA, winB) ||
-						!reflect.DeepEqual(pcA, pcB) || !reflect.DeepEqual(covA, covB) {
-						t.Fatalf("sampled run differs:\n core-major  %+v %+v\n round-robin %+v %+v", aggA, covA, aggB, covB)
-					}
-				})
+						aggA, winA, pcA, covA, err := a.RunSampled(ctx, sp)
+						if err != nil {
+							t.Fatal(err)
+						}
+						aggB, winB, pcB, covB, err := b.RunSampled(ctx, sp)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(aggA, aggB) || !reflect.DeepEqual(winA, winB) ||
+							!reflect.DeepEqual(pcA, pcB) || !reflect.DeepEqual(covA, covB) {
+							t.Fatalf("sampled run differs:\n core-major  %+v %+v\n round-robin %+v %+v", aggA, covA, aggB, covB)
+						}
+					})
+				}
 			}
 		}
 	}
